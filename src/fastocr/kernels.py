@@ -1,7 +1,8 @@
-"""Numeric backend for the hot attention kernel.
+"""Numeric backend for the attention kernels.
 
-The per-layer multi-head attention over the cached context is the inner loop
-of every decode step. Two interchangeable implementations are provided:
+The per-layer multi-head attention of one query over the cached context is
+the inner loop of every decode step. Two interchangeable implementations are
+provided:
 
 * a numba ``@njit`` kernel (default when numba imports cleanly), and
 * a pure-numpy fallback.
@@ -12,6 +13,14 @@ Both paths use identical 64-bit arithmetic and the same max-subtraction
 softmax; they may differ in the last ulp because BLAS and the scalar loop
 reduce in different orders. ``benchmarks/bench_kernels.py`` times both and
 reports their agreement.
+
+Prefill attends every prompt position at once: ``mha_attend_causal`` runs
+causal multi-head attention for a whole block of rows in numpy, whatever the
+backend. It works through the queries in blocks of ``CAUSAL_BLOCK_ROWS``
+rows, so its score buffer holds heads x 32 x context entries (about 1 MB for
+4 heads over a 1040-token page) in place of heads x context^2. Each row
+agrees with the per-query kernel on that row's prefix to rounding, not bit
+for bit, because the products are reduced in a different order.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ import os
 import numpy as np
 
 _ENV_FLAG = "FASTOCR_NUMBA"
+
+# query rows per block of the causal prefill kernel
+CAUSAL_BLOCK_ROWS = 32
 
 
 def _env_allows_numba() -> bool:
@@ -45,6 +57,34 @@ def mha_attend_numpy(query, keys, values, num_heads):
     scores /= scores.sum(axis=1, keepdims=True)
     out = np.einsum("hn,hnd->hd", scores, v).reshape(hidden)
     return out, scores
+
+
+def mha_attend_causal(queries, keys, values, num_heads):
+    """Causal multi-head attention of n queries over n positions.
+
+    queries/keys/values: (n, h); row i attends positions 0..i. Returns the
+    output rows (n, h).
+    """
+    n, hidden = keys.shape
+    head_dim = hidden // num_heads
+    q, k, v = (a.reshape(n, num_heads, head_dim).transpose(1, 0, 2)
+               for a in (queries, keys, values))
+    q = q / math.sqrt(head_dim)
+    k_t = np.ascontiguousarray(k.transpose(0, 2, 1))  # (heads, head_dim, n)
+    v = np.ascontiguousarray(v)
+    out = np.empty((num_heads, n, head_dim))
+    future = np.triu(np.ones((CAUSAL_BLOCK_ROWS, CAUSAL_BLOCK_ROWS), dtype=bool), 1)
+    for start in range(0, n, CAUSAL_BLOCK_ROWS):
+        stop = min(start + CAUSAL_BLOCK_ROWS, n)
+        rows = stop - start
+        scores = q[:, start:stop] @ k_t[:, :, :stop]  # (heads, rows, stop)
+        scores[:, :, start:][:, future[:rows, :rows]] = -np.inf
+        scores -= scores.max(axis=2, keepdims=True)
+        np.exp(scores, out=scores)
+        block = scores @ v[:, :stop]
+        block /= scores.sum(axis=2, keepdims=True)
+        out[:, start:stop] = block
+    return out.transpose(1, 0, 2).reshape(n, hidden)
 
 
 def _mha_attend_loops(query, keys, values, num_heads):

@@ -51,17 +51,26 @@ class SessionCache:
         """Register the next sequence position; must precede per-layer appends."""
         pos = self._num_tokens
         if pos == self._types.shape[0]:
-            self._grow_registry()
+            self._grow()
         self._types[pos] = int(token_type)
         self._num_tokens += 1
         return pos
 
-    def _grow_registry(self):
+    def _grow(self):
+        # the registry and every layer double together, at registration: a
+        # prompt registered before its bulk prefill gets all layer buffers
+        # before the prefill's temporaries exist, as fresh pages that stay
+        # out of resident memory until rows are written
         cap = self._types.shape[0] * 2
         types = np.empty(cap, dtype=np.int8)
         types[: self._num_tokens] = self._types[: self._num_tokens]
         self._types = types
         for l in range(self.num_layers):
+            n = self._lens[l]
+            for store in (self._keys, self._values):
+                grown = np.empty((cap, self.hidden_dim), dtype=np.float64)
+                grown[:n] = store[l][:n]
+                store[l] = grown
             dead = np.zeros(cap, dtype=bool)
             dead[: len(self._dead[l])] = self._dead[l]
             self._dead[l] = dead
@@ -88,28 +97,26 @@ class SessionCache:
 
     def append(self, layer: int, key, value):
         """Append one (key, value) pair at a layer for the newest registered token."""
-        self._check_layer(layer)
         key = np.asarray(key, dtype=np.float64)
         value = np.asarray(value, dtype=np.float64)
         if key.shape != (self.hidden_dim,) or value.shape != (self.hidden_dim,):
             raise ValueError("key/value dimension mismatch")
-        n = self._lens[layer]
-        if n >= self._num_tokens:
-            raise RuntimeError("register_token must precede per-layer appends")
-        if n == self._keys[layer].shape[0]:
-            self._grow_layer(layer)
-        self._keys[layer][n] = key
-        self._values[layer][n] = value
-        self._lens[layer] = n + 1
+        self.extend(layer, key[np.newaxis], value[np.newaxis])
 
-    def _grow_layer(self, layer: int):
-        old_k, old_v = self._keys[layer], self._values[layer]
-        cap = old_k.shape[0] * 2
-        self._keys[layer] = np.empty((cap, self.hidden_dim), dtype=np.float64)
-        self._values[layer] = np.empty((cap, self.hidden_dim), dtype=np.float64)
+    def extend(self, layer: int, keys, values):
+        """Append (m, h) key/value rows at a layer for the next m registered tokens."""
+        self._check_layer(layer)
+        keys = np.asarray(keys, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if keys.ndim != 2 or keys.shape[1] != self.hidden_dim or values.shape != keys.shape:
+            raise ValueError("key/value dimension mismatch")
         n = self._lens[layer]
-        self._keys[layer][:n] = old_k[:n]
-        self._values[layer][:n] = old_v[:n]
+        end = n + keys.shape[0]
+        if end > self._num_tokens:
+            raise RuntimeError("register_token must precede per-layer appends")
+        self._keys[layer][n:end] = keys
+        self._values[layer][n:end] = values
+        self._lens[layer] = end
 
     # -- views ---------------------------------------------------------------
 

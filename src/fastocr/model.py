@@ -5,6 +5,14 @@ policies touch nothing but attention, and the cost model covers exactly the
 Q/K/V/output projections plus the attention product, so a pure-attention
 stack maximizes the signal of attention-path divergence between policies.
 
+Prefill runs the image then prompt-text positions through the stack in one
+batched causal pass per layer: project q/k/v for every position at once,
+append the k/v rows to the layer cache, attend each position over its prefix
+(the ``mha_attend_causal`` kernel), and apply the residual update. It agrees
+with pushing the tokens one at a time to about 1e-15, not bit for bit: the
+products are reduced in a different order. Every policy shares the same
+prefill, so the exact identities below are unaffected.
+
 Per decode step the engine samples greedily from the logits of the previously
 pushed token, registers the sampled token as text, and pushes it through the
 layer stack under the active policy: project q/k/v from the evolving hidden
@@ -32,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import HeadConfig, attend_full, attend_gathered
+from .kernels import mha_attend_causal
 from .kvstore import SessionCache, TokenType
 from .metrics import attention_mass_recall
 from .rng import SplitMix64
@@ -63,6 +72,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        if self.hidden_dim < 1 or self.num_heads < 1:
+            raise ValueError("hidden_dim and num_heads must be >= 1")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError("hidden_dim must be divisible by num_heads")
         if self.vocab_size < 2:
@@ -107,13 +118,18 @@ def init_model(config: ModelConfig) -> ModelWeights:
                         patch_embedder=patch_embedder, wq=wq, wk=wk, wv=wv, wo=wo)
 
 
-def positional_encoding(pos: int, hidden_dim: int) -> np.ndarray:
-    """Fixed sinusoidal encoding added to token embeddings before the stack."""
-    pe = np.empty(hidden_dim)
+def positional_encoding(pos, hidden_dim: int) -> np.ndarray:
+    """Fixed sinusoidal encoding added to token embeddings before the stack.
+
+    ``pos`` is one position, giving an (h,) vector, or an array of n
+    positions, giving one row each (n, h).
+    """
+    pos = np.asarray(pos, dtype=np.float64)[..., np.newaxis]
+    pe = np.empty(pos.shape[:-1] + (hidden_dim,))
     idx = np.arange(0, hidden_dim, 2, dtype=np.float64)
     inv_freq = np.power(10000.0, -idx / hidden_dim)
-    pe[0::2] = np.sin(pos * inv_freq)
-    pe[1::2] = np.cos(pos * inv_freq[: hidden_dim // 2])
+    pe[..., 0::2] = np.sin(pos * inv_freq)
+    pe[..., 1::2] = np.cos(pos * inv_freq[: hidden_dim // 2])
     return pe
 
 
@@ -161,39 +177,37 @@ class DecodeSession:
     # -- prefill ---------------------------------------------------------------
 
     def prefill(self, num_image_tokens: int, prompt_ids):
-        """Push image then prompt-text embeddings through all layers, full attention."""
+        """Run image then prompt-text embeddings through all layers, full causal attention.
+
+        All-or-nothing: every input is checked before the first position is
+        registered, so a rejected prefill leaves the session empty.
+        """
         if len(self.cache) != 0:
             raise RuntimeError("prefill requires a fresh session")
         prompt_ids = list(prompt_ids)
         if not prompt_ids:
             raise ValueError("empty prompt")
-        if num_image_tokens == 0 and self.policy.name == "fastocr":
-            log.warning("no image tokens: the fixation policy degenerates to text-only")
-        patch_stream = SplitMix64(self.config.seed ^ _PATCH_STREAM_SALT)
-        h = self.config.hidden_dim
-        x = None
-        for _ in range(num_image_tokens):
-            desc = patch_stream.symmetric((PATCH_DIM,))
-            pos = self.cache.register_token(TokenType.IMAGE)
-            x = desc @ self.weights.patch_embedder + positional_encoding(pos, h)
-            self._push_prefill(x)
+        if num_image_tokens < 0:
+            raise ValueError(f"num_image_tokens must be >= 0, got {num_image_tokens}")
         for tok in prompt_ids:
             if not 0 <= tok < self.config.vocab_size:
                 raise ValueError(f"prompt token id out of range: {tok}")
-            pos = self.cache.register_token(TokenType.TEXT)
-            x = self.weights.embedding[tok] + positional_encoding(pos, h)
-            x = self._push_prefill(x)
-        self._pending = x
-
-    def _push_prefill(self, x: np.ndarray) -> np.ndarray:
+        if num_image_tokens == 0 and self.policy.name == "fastocr":
+            log.warning("no image tokens: the fixation policy degenerates to text-only")
+        for _ in range(num_image_tokens):
+            self.cache.register_token(TokenType.IMAGE)
+        for _ in prompt_ids:
+            self.cache.register_token(TokenType.TEXT)
         w = self.weights
+        desc = SplitMix64(self.config.seed ^ _PATCH_STREAM_SALT).symmetric(
+            (num_image_tokens, PATCH_DIM))
+        x = np.concatenate([desc @ w.patch_embedder, w.embedding[prompt_ids]])
+        x += positional_encoding(np.arange(len(x)), self.config.hidden_dim)
         for layer in range(self.config.num_layers):
-            q = x @ w.wq[layer]
-            self.cache.append(layer, x @ w.wk[layer], x @ w.wv[layer])
-            keys, values = self.cache.full_view(layer)
-            out, _ = attend_full(q, keys, values, self._head_cfg)
-            x = x + out @ w.wo[layer]
-        return x
+            q, k, v = x @ w.wq[layer], x @ w.wk[layer], x @ w.wv[layer]
+            self.cache.extend(layer, k, v)
+            x += mha_attend_causal(q, k, v, self.config.num_heads) @ w.wo[layer]
+        self._pending = x[-1].copy()
 
     # -- decoding ----------------------------------------------------------------
 

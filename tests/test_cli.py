@@ -179,6 +179,15 @@ def test_run_bad_policy_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["workload.image_tokens = -3", "model.heads = 0",
+                                  "model.hidden = 0"])
+def test_run_bad_sizes_exit_1_with_one_line(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, f"policy.name = vanilla\nrun.steps = 2\n{line}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_run_missing_config_exit_1(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
 

@@ -4,7 +4,8 @@ import sys
 
 import numpy as np
 
-from fastocr.kernels import _HAS_NUMBA, backend_name, mha_attend, mha_attend_numpy
+from fastocr.kernels import (CAUSAL_BLOCK_ROWS, _HAS_NUMBA, _mha_attend_loops, backend_name,
+                             mha_attend, mha_attend_causal, mha_attend_numpy)
 
 
 def test_backend_reports_name():
@@ -56,3 +57,16 @@ def test_generated_sequence_backend_independent():
                              capture_output=True, text=True, check=True)
         results.append(out.stdout.strip())
     assert results[0] == results[1]
+
+
+def test_causal_rows_match_scalar_oracle_on_prefix():
+    # shorter than one query block, block edges, and several blocks plus a tail
+    rng = np.random.default_rng(4)
+    hidden, heads = 16, 4
+    for n in (1, CAUSAL_BLOCK_ROWS - 1, CAUSAL_BLOCK_ROWS, CAUSAL_BLOCK_ROWS + 1, 130):
+        q, k, v = (rng.normal(size=(n, hidden)) for _ in range(3))
+        out = mha_attend_causal(q, k, v, heads)
+        assert out.shape == (n, hidden)
+        for i in range(n):
+            ref, _ = _mha_attend_loops(q[i], k[: i + 1], v[: i + 1], heads)
+            np.testing.assert_allclose(out[i], ref, rtol=0, atol=1e-12)

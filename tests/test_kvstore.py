@@ -189,3 +189,42 @@ def test_growth_past_initial_capacity():
     keys, _ = cache.full_view(0)
     assert keys.shape == (200, 4)
     np.testing.assert_array_equal(keys[:, 0], np.arange(200.0))
+
+
+def test_extend_matches_appends_and_capacity_follows_registry():
+    bulk = make_cache(num_layers=1)
+    single = make_cache(num_layers=1)
+    fill(single, [TokenType.TEXT] * 130)
+    for _ in range(130):
+        bulk.register_token(TokenType.TEXT)
+    rows = np.arange(130.0)[:, None] * np.ones(4)
+    bulk.extend(0, rows[:1], -rows[:1])
+    bulk.extend(0, rows[1:], -rows[1:])
+    for got, want in zip(bulk.full_view(0), single.full_view(0)):
+        np.testing.assert_array_equal(got, want)
+    # registering a page doubles every layer to 2048 rows up front, so
+    # neither its bulk append nor the decode steps after it reallocate
+    page = make_cache(num_layers=2)
+    for _ in range(1041):
+        page.register_token(TokenType.IMAGE)
+    buffers = [page._keys[0], page._values[1]]
+    assert [b.shape[0] for b in buffers] == [2048, 2048]
+    for layer in range(2):
+        page.extend(layer, np.zeros((1040, 4)), np.zeros((1040, 4)))
+        page.append(layer, np.ones(4), np.ones(4))
+    assert page._keys[0] is buffers[0] and page._values[1] is buffers[1]
+    assert page.layer_len(0) == page.layer_len(1) == 1041
+
+
+def test_extend_errors():
+    cache = make_cache()
+    cache.register_token(TokenType.TEXT)
+    with pytest.raises(RuntimeError, match="register_token"):
+        cache.extend(0, np.zeros((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cache.extend(0, np.zeros((1, 4)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cache.extend(0, np.zeros(4), np.zeros(4))
+    with pytest.raises(IndexError, match="layer"):
+        cache.extend(2, np.zeros((1, 4)), np.zeros((1, 4)))
+    assert cache.layer_len(0) == 0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fastocr.attention import attend_full, attend_gathered
-from fastocr.kvstore import TokenType
-from fastocr.model import (PATCH_DIM, DecodeSession, ModelConfig, init_model,
-                           positional_encoding, prompt_token_ids)
+from fastocr.kvstore import SessionCache, TokenType
+from fastocr.model import (_PATCH_STREAM_SALT, PATCH_DIM, DecodeSession, ModelConfig,
+                           init_model, positional_encoding, prompt_token_ids)
 from fastocr.policy import FixationConfig, FixationPolicy, VanillaPolicy
 from fastocr.rng import SplitMix64
 
@@ -67,6 +67,10 @@ def test_config_validation():
         ModelConfig(hidden_dim=10, num_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=1)
+    for bad in ({"num_heads": 0}, {"num_heads": -4}, {"hidden_dim": 0},
+                {"hidden_dim": -64}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ModelConfig(**bad)
 
 
 def test_positional_encoding_layout():
@@ -75,6 +79,10 @@ def test_positional_encoding_layout():
     np.testing.assert_array_equal(pe[1::2], np.ones(4))
     pe3 = positional_encoding(3, 8)
     assert pe3[0] == pytest.approx(np.sin(3.0))
+    rows = positional_encoding(np.arange(5), 8)
+    assert rows.shape == (5, 8)
+    for pos in range(5):
+        np.testing.assert_array_equal(rows[pos], positional_encoding(pos, 8))
 
 
 def make_vanilla(seed=0, n_img=16, n_txt=4):
@@ -103,6 +111,59 @@ def test_prefill_rejects_empty_prompt_and_stale_session():
     s.prefill(4, [1])
     with pytest.raises(RuntimeError, match="fresh session"):
         s.prefill(4, [1])
+
+
+def per_token_prefill(weights, num_image_tokens, prompt_ids):
+    """Reference prefill: push each position through the stack alone.
+
+    A loop of attend_full over the cache, one SessionCache.append per layer
+    and token. Returns (cache, pending hidden state).
+    """
+    cfg = weights.config
+    h = cfg.hidden_dim
+    cache = SessionCache(cfg.num_layers, h)
+    patch_stream = SplitMix64(cfg.seed ^ _PATCH_STREAM_SALT)
+    inputs = [(TokenType.IMAGE, patch_stream.symmetric((PATCH_DIM,)) @ weights.patch_embedder)
+              for _ in range(num_image_tokens)]
+    inputs += [(TokenType.TEXT, weights.embedding[tok]) for tok in prompt_ids]
+    for token_type, embedded in inputs:
+        x = embedded + positional_encoding(cache.register_token(token_type), h)
+        for layer in range(cfg.num_layers):
+            q = x @ weights.wq[layer]
+            cache.append(layer, x @ weights.wk[layer], x @ weights.wv[layer])
+            keys, values = cache.full_view(layer)
+            out, _ = attend_full(q, keys, values, cfg.head_config)
+            x = x + out @ weights.wo[layer]
+    return cache, x
+
+
+@pytest.mark.parametrize("n_img, n_txt", [(0, 4), (10, 5), (126, 4)])
+def test_batched_prefill_matches_per_token_reference(n_img, n_txt):
+    # no image tokens, shorter than one query block, longer than the initial KV capacity
+    for seed in (0, 3, 11):
+        mc = ModelConfig(seed=seed)
+        w = init_model(mc)
+        prompt = prompt_token_ids(seed, n_txt, mc.vocab_size)
+        s = DecodeSession(w, VanillaPolicy(mc.num_layers))
+        s.prefill(n_img, prompt)
+        ref, pending = per_token_prefill(w, n_img, prompt)
+        assert len(s.cache) == len(ref) == n_img + n_txt
+        assert s.cache.n_img == ref.n_img == n_img
+        for layer in range(mc.num_layers):
+            for got, want in zip(s.cache.full_view(layer), ref.full_view(layer)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s._pending, pending, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_img, prompt", [(4, [1, 999]), (4, [-1, 2]), (-3, [1, 2])])
+def test_rejected_prefill_leaves_session_empty(n_img, prompt):
+    s = DecodeSession(init_model(ModelConfig(seed=0)), VanillaPolicy(8))
+    with pytest.raises(ValueError):
+        s.prefill(n_img, prompt)
+    assert len(s.cache) == 0
+    assert all(s.cache.layer_len(layer) == 0 for layer in range(8))
+    s.prefill(4, [1, 2])  # still a fresh session
+    assert len(s.cache) == 6
 
 
 def test_prefill_policy_independent():
