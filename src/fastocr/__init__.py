@@ -7,7 +7,6 @@ from .baselines import (FastVConfig, FastVPolicy, H2OConfig, H2OPolicy, HeavyHit
                         fastv_evict, h2o_retain, h2o_update)
 from .flops import (FlopsConfig, PolicyFlopsBreakdown, attention_flops, fastocr_flops,
                     format_g, measured_breakdown)
-from .kernels import backend_name
 from .kvstore import PolicyContractViolation, SessionCache, TokenType
 from .metrics import (StepRecord, attention_mass_recall, focal_layer_frequency,
                       kept_set_jaccard, prefix_agreement, token_match_rate)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import flops as flops_mod
 from .baselines import FastVConfig, FastVPolicy, H2OConfig, H2OPolicy
-from .kernels import backend_name
 from .metrics import (SCOPE_NOTE, atomic_write_text, emit_report, focal_layer_frequency,
                       kept_set_jaccard, prefix_agreement, ratio_rows, report_json,
                       token_match_rate)
@@ -325,7 +324,7 @@ def _meta(command: str, cfg: dict, policy_name: str, params: dict, seeds: list,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "seeds": list(seeds),
         "instrumented": instrumented,
-        "backend": backend_name(),
+        "backend": "numpy",
         "notes": notes,
         "scope_note": SCOPE_NOTE,
     }

@@ -1,23 +1,13 @@
-"""Numeric backend for the attention kernels.
+"""Attention kernels, in numpy.
 
-The per-layer multi-head attention of one query over the cached context is
-the inner loop of every decode step. Two interchangeable implementations are
-provided:
-
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is controlled by the ``FASTOCR_NUMBA`` environment variable at
-import time: set it to ``0``/``false``/``no`` to force the numpy path.
-Both paths use identical 64-bit arithmetic and the same max-subtraction
-softmax; they may differ in the last ulp because BLAS and the scalar loop
-reduce in different orders. ``benchmarks/bench_kernels.py`` times both and
-reports their agreement.
+The per-layer multi-head attention of one query over the cached context,
+``mha_attend``, is the inner loop of every decode step. It uses 64-bit
+arithmetic and a max-subtraction softmax. ``_mha_attend_loops`` computes the
+same thing with scalar loops; tests hold both kernels to it.
 
 Prefill attends every prompt position at once: ``mha_attend_causal`` runs
-causal multi-head attention for a whole block of rows in numpy, whatever the
-backend. It works through the queries in blocks of ``CAUSAL_BLOCK_ROWS``
-rows, so its score buffer holds heads x 32 x context entries (about 1 MB for
+causal multi-head attention for a whole block of rows. It works through the
+queries in blocks of ``CAUSAL_BLOCK_ROWS`` rows, so its score buffer holds heads x 32 x context entries (about 1 MB for
 4 heads over a 1040-token page) in place of heads x context^2. Each row
 agrees with the per-query kernel on that row's prefix to rounding, not bit
 for bit, because the products are reduced in a different order.
@@ -26,21 +16,14 @@ for bit, because the products are reduced in a different order.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_ENV_FLAG = "FASTOCR_NUMBA"
 
 # query rows per block of the causal prefill kernel
 CAUSAL_BLOCK_ROWS = 32
 
 
-def _env_allows_numba() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in ("0", "false", "no")
-
-
-def mha_attend_numpy(query, keys, values, num_heads):
+def mha_attend(query, keys, values, num_heads):
     """Multi-head scaled dot-product attention of one query over a context.
 
     query: (h,), keys/values: (n, h) with h = num_heads * head_dim.
@@ -117,34 +100,3 @@ def _mha_attend_loops(query, keys, values, num_heads):
                 acc += weights[h, j] * values[j, base + d]
             out[base + d] = acc
     return out, weights
-
-
-_HAS_NUMBA = False
-_mha_attend_njit = None
-if _env_allows_numba():
-    try:
-        import numba
-
-        _mha_attend_njit = numba.njit(cache=True)(_mha_attend_loops)
-        _HAS_NUMBA = True
-    except ImportError:
-        _HAS_NUMBA = False
-
-if _HAS_NUMBA:
-    mha_attend = _mha_attend_njit
-    _BACKEND = "numba"
-else:
-    mha_attend = mha_attend_numpy
-    _BACKEND = "numpy"
-
-
-def backend_name() -> str:
-    """Active kernel backend, recorded in run reports."""
-    return _BACKEND
-
-
-def warmup_kernels():
-    """Trigger JIT compilation so timed code paths never pay it."""
-    q = np.zeros(4, dtype=np.float64)
-    kv = np.zeros((2, 4), dtype=np.float64)
-    mha_attend(q, kv, kv, 2)

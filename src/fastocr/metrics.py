@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -75,6 +76,17 @@ def attention_mass_recall(full_head_avg, kept_image_positions, image_positions) 
     return float(w[kept].sum() / total) if kept.size else 0.0
 
 
+def covered_image_recall(full_head_avg, covered, cache, layer: int) -> float:
+    """Recall of the image positions in a step's covered set at one layer.
+
+    The denominator is the cache's image positions at that layer, so a
+    position evicted there counts in neither set.
+    """
+    img = cache.image_positions(layer)
+    kept_img = covered[np.isin(covered, img, assume_unique=True)]
+    return attention_mass_recall(full_head_avg, kept_img, img)
+
+
 def kept_set_jaccard(set_a, set_b) -> float:
     a, b = set(int(x) for x in set_a), set(int(x) for x in set_b)
     if not a and not b:
@@ -129,7 +141,7 @@ def atomic_write_text(path: str, text: str):
 
 def report_json(report: dict) -> str:
     """Deterministic JSON serialization (fixed field order, no timestamps)."""
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    return json.dumps(report, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def emit_report(report: dict, fmt: str, path: str):
@@ -172,3 +184,16 @@ def validate_report(report: dict):
         raise ValueError("report meta.seeds must be a non-empty list")
     if not isinstance(meta["instrumented"], bool):
         raise ValueError("report meta.instrumented must be a boolean")
+    _check_finite(report, "report")
+
+
+def _check_finite(value, path: str):
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{path} is not a finite number: {value}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")

@@ -42,7 +42,7 @@ import numpy as np
 from .attention import HeadConfig, attend_full, attend_gathered
 from .kernels import mha_attend_causal
 from .kvstore import SessionCache, TokenType
-from .metrics import attention_mass_recall
+from .metrics import covered_image_recall
 from .rng import SplitMix64
 
 log = logging.getLogger("fastocr")
@@ -249,9 +249,8 @@ class DecodeSession:
                 out, weights = attend_gathered(q, keys, values, kept, cfg)
                 covered = np.asarray(kept, dtype=np.int64)
                 if self.instrumented:
-                    img = self.cache.image_positions(layer)
-                    kept_img = covered[np.isin(covered, img, assume_unique=True)]
-                    oracle_recall.append(attention_mass_recall(oracle_avg, kept_img, img))
+                    oracle_recall.append(
+                        covered_image_recall(oracle_avg, covered, self.cache, layer))
             if self.record_trace and oracle_avg is not None:
                 self.trace_rows.append((step_index, layer, oracle_avg.copy()))
             state["x"] = xv + out @ w.wo[layer]

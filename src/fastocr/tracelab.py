@@ -8,11 +8,17 @@ plain text so they are human-inspectable, diff-able, and language-neutral:
     #trace v1 L=<int> Nimg=<int> Ntext=<int> source=<planted|toy-model|external>
     t=<int> l=<int> w=<d0>,<d1>,...
 
-Weights are decimal with 17 significant digits (exact float64 round trip).
+Weights are finite, non-negative decimals with 17 significant digits (exact
+float64 round trip).
 Steps are 1-based. Expected weight-vector length at step t: Nimg+Ntext for
 planted traces, Nimg+Ntext+t for toy-model traces (one generated text token
 per step, appended before the step's attention), and constant-per-step,
 non-decreasing for external traces.
+
+Replay drives a policy over ``LogicalCache``, which is ``kvstore``'s
+``TokenRegistry`` without keys/values, so a replayed trace and a live session
+answer every question about positions (types, liveness, eviction) with the
+same code.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kvstore import PolicyContractViolation, TokenType
+from .kvstore import TokenRegistry, TokenType
 from .rng import SplitMix64
 
 # mass defaults: focal-like layers put ~3x the image mass of the others
@@ -216,6 +222,9 @@ def read_trace(path: str) -> TraceFile:
             raise TraceParseError(
                 f"line {lineno}: step {t} layer {layer}: expected {expected} weights, "
                 f"got {w.size}")
+        if not (np.isfinite(w) & (w >= 0.0)).all():
+            raise TraceParseError(f"line {lineno}: step {t} layer {layer}: weights must be "
+                                  "finite and non-negative")
         if t in step_lens and step_lens[t] != w.size:
             raise TraceParseError(f"line {lineno}: step {t} has inconsistent weight lengths")
         step_lens[t] = w.size
@@ -236,54 +245,18 @@ def read_trace(path: str) -> TraceFile:
 # -- replay ------------------------------------------------------------------------
 
 
-class LogicalCache:
-    """Position bookkeeping without stored keys/values, for trace replay."""
+class LogicalCache(TokenRegistry):
+    """The position registry without keys/values, for trace replay.
+
+    Construction registers a trace's image tokens, then its prompt text tokens.
+    """
 
     def __init__(self, num_layers: int, num_image: int, num_text: int,
                  eviction_allowed: bool = False):
-        self.num_layers = num_layers
-        self.eviction_allowed = eviction_allowed
-        self._types = [int(TokenType.IMAGE)] * num_image + [int(TokenType.TEXT)] * num_text
-        self._dead = [set() for _ in range(num_layers)]
-
-    def __len__(self) -> int:
-        return len(self._types)
-
-    def register_text(self) -> int:
-        self._types.append(int(TokenType.TEXT))
-        return len(self._types) - 1
-
-    @property
-    def n_img(self) -> int:
-        return sum(1 for t in self._types if t == int(TokenType.IMAGE))
-
-    def live_positions(self, layer: int = 0) -> np.ndarray:
-        dead = self._dead[layer]
-        return np.array([p for p in range(len(self._types)) if p not in dead],
-                        dtype=np.int64)
-
-    def image_positions(self, layer: int = 0) -> np.ndarray:
-        dead = self._dead[layer]
-        return np.array([p for p, t in enumerate(self._types)
-                         if t == int(TokenType.IMAGE) and p not in dead], dtype=np.int64)
-
-    def text_positions(self, layer: int = 0) -> np.ndarray:
-        dead = self._dead[layer]
-        return np.array([p for p, t in enumerate(self._types)
-                         if t == int(TokenType.TEXT) and p not in dead], dtype=np.int64)
-
-    def evict(self, positions, layers=None):
-        if not self.eviction_allowed:
-            raise PolicyContractViolation("policy contract violation: eviction forbidden")
-        if layers is None:
-            layers = range(self.num_layers)
-        pos = [int(p) for p in positions]
-        for l in layers:
-            if any(p in self._dead[l] for p in pos):
-                raise ValueError("position already evicted")
-            if any(not 0 <= p < len(self._types) for p in pos):
-                raise ValueError("eviction position out of range")
-            self._dead[l].update(pos)
+        super().__init__(num_layers, eviction_allowed)
+        for token_type, count in ((TokenType.IMAGE, num_image), (TokenType.TEXT, num_text)):
+            for _ in range(count):
+                self.register_token(token_type)
 
 
 def replay(trace_file: TraceFile, policy, collect_oracle: bool = False):
@@ -307,7 +280,7 @@ def replay(trace_file: TraceFile, policy, collect_oracle: bool = False):
     records = []
     for t in steps:
         if tf.source == "toy-model":
-            cache.register_text()
+            cache.register_token(TokenType.TEXT)
 
         def attend_layer(layer, kept, _t=t):
             w = tf.records[(_t, layer)]
@@ -321,13 +294,10 @@ def replay(trace_file: TraceFile, policy, collect_oracle: bool = False):
 
         record = policy.run_step(cache, attend_layer)
         if collect_oracle:
-            from .metrics import attention_mass_recall
+            from .metrics import covered_image_recall
 
-            recalls = []
-            for layer, covered in enumerate(record.kept):
-                img = cache.image_positions(layer)
-                kept_img = covered[np.isin(covered, img, assume_unique=True)]
-                recalls.append(attention_mass_recall(tf.records[(t, layer)], kept_img, img))
-            record.oracle_recall = recalls
+            record.oracle_recall = [
+                covered_image_recall(tf.records[(t, layer)], covered, cache, layer)
+                for layer, covered in enumerate(record.kept)]
         records.append(record)
     return records

@@ -315,6 +315,28 @@ def test_replay_insufficient_warmup_exit_1(tmp_path, capsys):
     assert "insufficient warmup data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.1"])
+@pytest.mark.parametrize("policy", [["--policy", "h2o", "--h2o-ratio", "0.5"],
+                                    ["--policy", "fastocr", "--warmup", "0"]],
+                         ids=["h2o", "fastocr-warmup0"])
+def test_replay_rejects_bad_weight_exit_1(tmp_path, capsys, bad, policy):
+    cfg = PlantedConfig(num_layers=4, num_image_tokens=20, num_text_tokens=4,
+                        focal_like_layers=(2,), num_steps=3, seed=1)
+    trace_path = tmp_path / "t.txt"
+    write_trace(planted_trace_file(generate_trace(cfg)), str(trace_path))
+    lines = trace_path.read_text().splitlines()
+    t_l, weights = lines[5].split(" w=")
+    lines[5] = t_l + " w=" + ",".join([bad] + weights.split(",")[1:])
+    trace_path.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "r.json"
+    assert main(["replay", "--trace", str(trace_path), "--rho", "0.25",
+                 *policy, "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "line 6" in err[0] and "finite and non-negative" in err[0]
+    assert not report_path.exists()
+
+
 def test_replay_malformed_trace_exit_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a trace\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fastocr.kvstore import PolicyContractViolation, SessionCache, TokenType
+from fastocr.tracelab import LogicalCache
 
 
 def make_cache(num_layers=2, hidden=4, eviction=False):
@@ -14,6 +15,16 @@ def fill(cache, types):
         for layer in range(cache.num_layers):
             cache.append(layer, np.full(cache.hidden_dim, float(i)),
                          np.full(cache.hidden_dim, float(-i)))
+
+
+def registries(num_layers=2, n_img=3, n_txt=2, eviction=False):
+    """One token layout as a live SessionCache and as a replay LogicalCache.
+
+    Registry cases loop over both, so the two classes share one contract.
+    """
+    session = make_cache(num_layers=num_layers, eviction=eviction)
+    fill(session, [TokenType.IMAGE] * n_img + [TokenType.TEXT] * n_txt)
+    return session, LogicalCache(num_layers, n_img, n_txt, eviction_allowed=eviction)
 
 
 def test_append_all_layers():
@@ -114,46 +125,67 @@ def test_gathered_view_errors():
         cache.gathered_view(0, [5])
 
 
+def test_typed_partitions():
+    for cache in registries(n_img=3, n_txt=2):
+        assert len(cache) == 5 and cache.n_img == 3
+        assert cache.token_type(2) == TokenType.IMAGE and cache.token_type(3) == TokenType.TEXT
+        for layer in range(2):
+            np.testing.assert_array_equal(cache.image_positions(layer), [0, 1, 2])
+            np.testing.assert_array_equal(cache.text_positions(layer), [3, 4])
+            np.testing.assert_array_equal(cache.live_positions(layer), [0, 1, 2, 3, 4])
+        with pytest.raises(IndexError):
+            cache.token_type(5)
+        with pytest.raises(IndexError, match="layer"):
+            cache.image_positions(2)
+
+
 def test_evict_requires_permission():
-    cache = make_cache()
-    fill(cache, [TokenType.IMAGE] * 2)
-    with pytest.raises(PolicyContractViolation, match="policy contract violation"):
-        cache.evict([0])
+    for cache in registries():
+        with pytest.raises(PolicyContractViolation, match="policy contract violation"):
+            cache.evict([0])
 
 
 def test_evict_shrinks_views():
-    cache = make_cache(num_layers=2, eviction=True)
-    fill(cache, [TokenType.IMAGE] * 4)
-    cache.evict([1, 2])
-    np.testing.assert_array_equal(cache.image_positions(0), [0, 3])
-    np.testing.assert_array_equal(cache.live_positions(1), [0, 3])
-    keys, _ = cache.full_view(0)
+    session, logical = registries(num_layers=2, n_img=4, n_txt=0, eviction=True)
+    for cache in (session, logical):
+        cache.evict([1, 2])
+        np.testing.assert_array_equal(cache.image_positions(0), [0, 3])
+        np.testing.assert_array_equal(cache.live_positions(1), [0, 3])
+        assert cache.unreachable_count(0) == 2
+        assert cache.n_img == 4  # registered, not live: eviction never unregisters
+    keys, _ = session.full_view(0)
     np.testing.assert_array_equal(keys[:, 0], [0.0, 3.0])
-    assert cache.unreachable_count(0) == 2
 
 
 def test_evict_empty_is_noop():
-    cache = make_cache(eviction=True)
-    fill(cache, [TokenType.IMAGE] * 2)
-    cache.evict([])
-    assert cache.unreachable_count(0) == 0
+    for cache in registries(n_img=2, n_txt=0, eviction=True):
+        cache.evict([])
+        assert cache.unreachable_count(0) == 0
 
 
 def test_double_evict_errors():
-    cache = make_cache(eviction=True)
-    fill(cache, [TokenType.IMAGE] * 3)
-    cache.evict([1])
-    with pytest.raises(ValueError, match="already evicted"):
+    for cache in registries(n_img=3, n_txt=0, eviction=True):
         cache.evict([1])
+        with pytest.raises(ValueError, match="already evicted"):
+            cache.evict([1])
+
+
+def test_evict_rejects_invalid_positions():
+    for cache in registries(n_img=3, n_txt=2, eviction=True):
+        for bad in ([1, 1], [-1], [5]):
+            with pytest.raises(ValueError):
+                cache.evict(bad)
+        with pytest.raises(IndexError, match="layer"):
+            cache.evict([0], layers=[2])
+        assert [cache.unreachable_count(l) for l in range(2)] == [0, 0]
 
 
 def test_layer_scoped_eviction():
-    cache = make_cache(num_layers=3, eviction=True)
-    fill(cache, [TokenType.IMAGE] * 4)
-    cache.evict([0, 1], layers=range(1, 3))
-    np.testing.assert_array_equal(cache.live_positions(0), [0, 1, 2, 3])
-    np.testing.assert_array_equal(cache.live_positions(1), [2, 3])
-    np.testing.assert_array_equal(cache.live_positions(2), [2, 3])
+    for cache in registries(num_layers=3, n_img=4, n_txt=0, eviction=True):
+        cache.evict([0, 1], layers=range(1, 3))
+        np.testing.assert_array_equal(cache.live_positions(0), [0, 1, 2, 3])
+        np.testing.assert_array_equal(cache.live_positions(1), [2, 3])
+        np.testing.assert_array_equal(cache.live_positions(2), [2, 3])
 
 
 def test_gathered_view_rejects_evicted():

@@ -129,6 +129,28 @@ def test_validator_rejects_fuzzed_reports():
             validate_report(broken)
 
 
+def test_validate_report_rejects_non_finite_numbers():
+    base = {"meta": {"policy": "fastocr", "seeds": [0], "instrumented": True,
+                     "scope_note": "x"},
+            "sequence_metrics": {}, "attention_metrics": {"mean_recall": 0.5,
+                                                          "mean_ratio_per_layer": [0.1, 0.2]},
+            "flops": {}, "focal_layers": {}}
+    validate_report(base)
+    for path, bad in ((("attention_metrics", "mean_recall"), float("nan")),
+                      (("attention_metrics", "mean_ratio_per_layer", 1), np.float64("inf")),
+                      (("flops", "mean_per_step"), -np.inf)):
+        broken = json.loads(json.dumps(base))
+        *parents, leaf = path
+        node = broken
+        for key in parents:
+            node = node[key]
+        node[leaf] = bad
+        with pytest.raises(ValueError, match="not a finite number"):
+            validate_report(broken)
+        with pytest.raises(ValueError):
+            report_json(broken)
+
+
 def test_csv_rows_cover_grid(tmp_path):
     from fastocr.metrics import StepRecord
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fastocr.baselines import H2OConfig, H2OPolicy
-from fastocr.kvstore import PolicyContractViolation
 from fastocr.metrics import kept_set_jaccard
 from fastocr.model import DecodeSession, ModelConfig, init_model, prompt_token_ids
 from fastocr.policy import FixationConfig, FixationPolicy, VanillaPolicy
@@ -171,6 +170,30 @@ def test_toy_trace_round_trip(tmp_path):
 # -- replay -------------------------------------------------------------------------
 
 
+def test_replayed_live_trace_makes_the_live_decisions(tmp_path):
+    # differential oracle: a vanilla session's recorded trace, replayed
+    # through the fixation policy, freezes what the live policy freezes
+    fix = FixationConfig(focal_layer_ratio=0.25, warmup_steps=10)
+    for seed in range(4):
+        mc = ModelConfig(seed=seed)
+        w = init_model(mc)
+        prompt = prompt_token_ids(seed, 8, mc.vocab_size)
+        recorded = DecodeSession(w, VanillaPolicy(mc.num_layers), record_trace=True)
+        recorded.prefill(64, prompt)
+        recorded.generate(20)
+        path = tmp_path / f"toy-{seed}.txt"
+        write_trace(toy_trace_file(recorded), str(path))
+        replayed = FixationPolicy(fix, mc.num_layers)
+        replay(read_trace(str(path)), replayed)
+        live = FixationPolicy(fix, mc.num_layers)
+        session = DecodeSession(w, live)
+        session.prefill(64, prompt)
+        session.generate(20)
+        assert replayed.focal_set.layers == live.focal_set.layers
+        np.testing.assert_allclose(replayed.state.warmup.mean_ratios(),
+                                   live.state.warmup.mean_ratios(), rtol=0, atol=1e-12)
+
+
 def test_replay_recovers_planted_layers():
     for seed in range(5):
         cfg = planted(num_layers=10, focal_like_layers=(2, 5, 7), num_steps=12,
@@ -229,20 +252,6 @@ def test_replay_fastv_layer_scoped_eviction():
                 assert rec.kept[layer].size == 48  # scores taken before eviction
             else:
                 assert rec.kept[layer].size == 48 - evicted
-
-
-def test_logical_cache_contract():
-    cache = LogicalCache(2, num_image=3, num_text=2)
-    np.testing.assert_array_equal(cache.image_positions(0), [0, 1, 2])
-    np.testing.assert_array_equal(cache.text_positions(0), [3, 4])
-    with pytest.raises(PolicyContractViolation):
-        cache.evict([0])
-    allowed = LogicalCache(2, num_image=3, num_text=2, eviction_allowed=True)
-    allowed.evict([1], layers=[0])
-    np.testing.assert_array_equal(allowed.live_positions(0), [0, 2, 3, 4])
-    np.testing.assert_array_equal(allowed.live_positions(1), [0, 1, 2, 3, 4])
-    with pytest.raises(ValueError, match="already evicted"):
-        allowed.evict([1], layers=[0])
 
 
 def test_window_coverage_recall():
