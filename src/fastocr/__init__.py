@@ -12,9 +12,8 @@ from .metrics import (StepRecord, attention_mass_recall, focal_layer_frequency,
                       kept_set_jaccard, prefix_agreement, token_match_rate)
 from .model import DecodeSession, ModelConfig, ModelWeights, init_model, prompt_token_ids
 from .policy import (FixationConfig, FixationPolicy, FocalSet, FocalTokens, InvariantViolation,
-                     PolicyState, VanillaPolicy, WarmupStats, image_attention_ratio,
-                     init_step_kept_set, kept_token_count, record_warmup, select_focal_layers,
-                     select_focal_tokens)
+                     PolicyState, VanillaPolicy, WarmupStats, init_step_kept_set,
+                     kept_token_count, record_warmup, select_focal_layers, select_focal_tokens)
 from .tracelab import (LogicalCache, PlantedConfig, PlantedTrace, TraceFile, TraceParseError,
                        generate_trace, planted_trace_file, read_trace, replay, toy_trace_file,
                        write_trace)

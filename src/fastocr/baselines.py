@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import StepRecord
-from .policy import _EPS, ratio_over_covered
+from .policy import _EPS, full_attention_step
 
 
 @dataclass(frozen=True)
@@ -124,19 +124,18 @@ class FastVPolicy:
 
     def run_step(self, cache, attend_layer) -> StepRecord:
         self.step += 1
-        modes, kept, ratios = [], [], []
-        for layer in range(self.num_layers):
-            head_avg, covered = attend_layer(layer, None)
-            modes.append("full")
-            kept.append(covered)
-            ratios.append(ratio_over_covered(head_avg, covered, cache.image_positions(layer)))
-            if not self.evicted and layer == self.config.prune_layer:
+        k = self.config.prune_layer
+
+        def evict_at_k(layer, head_avg, covered, ratio):
+            if layer == k:
                 doomed = fastv_evict(head_avg, cache.image_positions(layer),
                                      self.config.prune_ratio)
                 if doomed.size:
-                    cache.evict(doomed, layers=range(self.config.prune_layer, self.num_layers))
+                    cache.evict(doomed, layers=range(k, self.num_layers))
                 self.evicted = True
-        return StepRecord(step=self.step, modes=modes, kept=kept, ratios=ratios)
+
+        return full_attention_step(self.step, cache, attend_layer, self.num_layers,
+                                   None if self.evicted else evict_at_k)
 
 
 class H2OPolicy:
@@ -151,20 +150,18 @@ class H2OPolicy:
         self.state = HeavyHitterState()
         self.step = 0
 
+    def _accumulate(self, layer, head_avg, covered, ratio):
+        self.state.set_live(covered)
+        h2o_update(self.state, head_avg)
+
     def run_step(self, cache, attend_layer) -> StepRecord:
         self.step += 1
-        modes, kept, ratios = [], [], []
-        for layer in range(self.num_layers):
-            head_avg, covered = attend_layer(layer, None)
-            modes.append("full")
-            kept.append(covered)
-            ratios.append(ratio_over_covered(head_avg, covered, cache.image_positions(layer)))
-            self.state.set_live(covered)
-            h2o_update(self.state, head_avg)
+        record = full_attention_step(self.step, cache, attend_layer, self.num_layers,
+                                     self._accumulate)
         live = cache.live_positions(0)
         keep = h2o_retain(self.state, self.config.retain_ratio, live)
         doomed = np.setdiff1d(live, keep, assume_unique=True)
         if doomed.size:
             cache.evict(doomed)
             self.state.drop(doomed)
-        return StepRecord(step=self.step, modes=modes, kept=kept, ratios=ratios)
+        return record

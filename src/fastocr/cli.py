@@ -22,7 +22,7 @@ from . import flops as flops_mod
 from .baselines import FastVConfig, FastVPolicy, H2OConfig, H2OPolicy
 from .metrics import (SCOPE_NOTE, atomic_write_text, emit_report, focal_layer_frequency,
                       kept_set_jaccard, prefix_agreement, ratio_rows, report_json,
-                      token_match_rate)
+                      token_match_rate, validate_report)
 from .model import (DEFAULT_DECODE_STEPS, DEFAULT_IMAGE_TOKENS, DEFAULT_PROMPT_TOKENS,
                     DecodeSession, ModelConfig, init_model, prompt_token_ids)
 from .policy import FixationConfig, FixationPolicy, InvariantViolation, VanillaPolicy
@@ -35,6 +35,10 @@ FASTV_ADAPTATION_NOTE = ("fastv adaptation: eviction fires at the first decode s
                          "that step's layer-K attention and applies to layers >= K")
 CSFR_FLOPS_NOTE = ("fallback full layer-0 passes are excluded from the analytic cost model "
                    "(amortized to zero); measured breakdowns count them when they run")
+# fastocr hyperparameters: (config key suffix and replay flag, FixationConfig field, type);
+# their defaults are the FixationConfig field defaults
+_FIXATION_PARAMS = (("rho", "focal_layer_ratio", float), ("gap", "focal_gap", int),
+                   ("kappa", "kept_token_ratio", float), ("warmup", "warmup_steps", int))
 
 
 class ConfigError(ValueError):
@@ -140,12 +144,8 @@ def _policy_params(cfg: dict, name: str) -> dict:
         return {}
     if name == "fastocr":
         force = cfg.get("policy.force_focal")
-        params = {
-            "rho": _get(cfg, "policy.rho", float, 0.1),
-            "gap": _get(cfg, "policy.gap", int, 1),
-            "kappa": _get(cfg, "policy.kappa", float, 0.05),
-            "warmup": _get(cfg, "policy.warmup", int, 10),
-        }
+        params = {key: _get(cfg, f"policy.{key}", conv, getattr(FixationConfig, field))
+                  for key, field, conv in _FIXATION_PARAMS}
         if force is not None:
             params["force_focal"] = force.strip()
         return params
@@ -171,11 +171,8 @@ def build_policy(name: str, params: dict, num_layers: int):
                 forced = tuple(_int_list(force))
             else:
                 forced = None
-            fc = FixationConfig(focal_layer_ratio=params.get("rho", 0.1),
-                                focal_gap=params.get("gap", 1),
-                                kept_token_ratio=params.get("kappa", 0.05),
-                                warmup_steps=params.get("warmup", 10),
-                                force_focal_layers=forced)
+            fc = FixationConfig(force_focal_layers=forced,
+                                **{field: params[key] for key, field, _ in _FIXATION_PARAMS})
             return FixationPolicy(fc, num_layers)
         if name == "fastv":
             return FastVPolicy(FastVConfig(prune_layer=params["prune_layer"],
@@ -197,18 +194,20 @@ def run_one_seed(cfg: dict, policy_name: str, params: dict, seed: int,
     steps = _get(cfg, "run.steps", int, DEFAULT_DECODE_STEPS)
     if steps < 1:
         raise ConfigError("run.steps must be >= 1")
+    if record_trace and kind != "toy":
+        raise ConfigError("output.trace requires workload.kind = toy")
     if kind == "toy":
         mc = _model_config(cfg, seed)
         policy = build_policy(policy_name, params, mc.num_layers)
         weights = init_model(mc)
-        session = DecodeSession(weights, policy, instrumented=instrumented,
-                                record_trace=record_trace)
         n_img = _get(cfg, "workload.image_tokens", int, DEFAULT_IMAGE_TOKENS)
         prompt = _get(cfg, "workload.prompt", _int_list, None)
         if prompt is None:
             n_txt = _get(cfg, "workload.text_tokens", int, DEFAULT_PROMPT_TOKENS)
             prompt = prompt_token_ids(seed, n_txt, mc.vocab_size)
         try:
+            session = DecodeSession(weights, policy, instrumented=instrumented,
+                                    record_trace=record_trace)
             session.prefill(n_img, prompt)
             session.generate(steps)
         except ValueError as exc:
@@ -217,26 +216,42 @@ def run_one_seed(cfg: dict, policy_name: str, params: dict, seed: int,
                                  "sequence": list(session.generated),
                                  "hidden": mc.hidden_dim}
     if kind == "planted":
-        pc = _planted_config(cfg, seed)
-        policy = build_policy(policy_name, params, pc.num_layers)
-        trace = planted_trace_file(generate_trace(pc))
-        try:
-            records = replay(trace, policy, collect_oracle=instrumented)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return records, {"policy": policy, "trace": trace, "hidden": None}
+        return _replay(planted_trace_file(generate_trace(_planted_config(cfg, seed))),
+                       policy_name, params, instrumented)
     if kind == "trace":
         path = cfg.get("workload.trace_path")
         if not path:
             raise ConfigError("workload.kind=trace requires workload.trace_path")
-        trace = _read_trace_checked(path)
-        policy = build_policy(policy_name, params, trace.num_layers)
-        try:
-            records = replay(trace, policy, collect_oracle=instrumented)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return records, {"policy": policy, "trace": trace, "hidden": None}
+        return _replay(_read_trace_checked(path), policy_name, params, instrumented)
     raise ConfigError(f"unknown workload.kind: {kind!r}")
+
+
+def _replay(trace, policy_name: str, params: dict, collect_oracle: bool):
+    """Replay a trace under a new policy; returns (records, extras) as run_one_seed does."""
+    policy = build_policy(policy_name, params, trace.num_layers)
+    try:
+        records = replay(trace, policy, collect_oracle=collect_oracle)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return records, {"policy": policy, "hidden": None}
+
+
+def _run_seeds(cfg: dict, policy_name: str, params: dict, seeds: list, instrumented: bool,
+               trace_out: str | None = None) -> dict:
+    """Run one policy over every seed; the first seed's session is written to trace_out."""
+    res = {"params": params, "records": {}, "policies": {}, "sequences": {}, "hidden": None}
+    for i, seed in enumerate(seeds):
+        record_trace = bool(trace_out) and i == 0
+        records, extras = run_one_seed(cfg, policy_name, params, seed, instrumented,
+                                       record_trace=record_trace)
+        res["records"][seed] = records
+        res["policies"][seed] = extras["policy"]
+        res["hidden"] = extras["hidden"]
+        if "sequence" in extras:
+            res["sequences"][seed] = extras["sequence"]
+        if record_trace:
+            write_trace(toy_trace_file(extras["session"]), trace_out)
+    return res
 
 
 def _read_trace_checked(path: str):
@@ -249,7 +264,8 @@ def _read_trace_checked(path: str):
 # -- report assembly ----------------------------------------------------------------
 
 
-def _focal_section(per_seed_policies: dict, num_layers: int) -> dict:
+def _focal_section(per_seed_policies: dict) -> dict:
+    num_layers = next(iter(per_seed_policies.values())).num_layers
     sets = {}
     for seed, policy in per_seed_policies.items():
         fs = getattr(policy, "focal_set", None)
@@ -330,6 +346,19 @@ def _meta(command: str, cfg: dict, policy_name: str, params: dict, seeds: list,
     }
 
 
+def _write_report(meta: dict, sequence: dict, attention: dict, flops: dict, focal: dict,
+                  path: str | None):
+    """Validate the five report sections, then write them to path or print them."""
+    report = {"meta": meta, "sequence_metrics": sequence, "attention_metrics": attention,
+              "flops": flops, "focal_layers": focal}
+    if path:
+        emit_report(report, "json", path)  # validates before writing
+        print(f"report written: {path}")
+    else:
+        validate_report(report)
+        print(report_json(report), end="")
+
+
 # -- subcommands -----------------------------------------------------------------------
 
 
@@ -364,44 +393,18 @@ def cmd_run(args) -> int:
     params = _policy_params(cfg, policy_name)
     seeds = _seeds(cfg)
     instrumented = _get(cfg, "run.instrumented", _bool, False)
-    trace_out = cfg.get("output.trace")
     notes = []
     if policy_name == "fastv":
         notes.append(FASTV_ADAPTATION_NOTE)
-    if policy_name == "fastocr" and params.get("warmup") == 0:
+    if policy_name == "fastocr" and params["warmup"] == 0:
         notes.append("warmup=0: focal selection has no decode statistics")
-
-    per_seed_records = {}
-    per_seed_policies = {}
-    sequences = {}
-    hidden = None
-    num_layers = None
-    for i, seed in enumerate(seeds):
-        record_trace = bool(trace_out) and i == 0
-        records, extras = run_one_seed(cfg, policy_name, params, seed,
-                                       instrumented, record_trace=record_trace)
-        per_seed_records[seed] = records
-        per_seed_policies[seed] = extras["policy"]
-        hidden = extras.get("hidden")
-        num_layers = len(records[0].modes) if records else 0
-        if "sequence" in extras:
-            sequences[str(seed)] = extras["sequence"]
-        if record_trace:
-            write_trace(toy_trace_file(extras["session"]), trace_out)
-    report = {
-        "meta": _meta("run", cfg, policy_name, params, seeds, instrumented, notes),
-        "sequence_metrics": {"sequences": sequences,
-                             "proxy_note": "sequences feed agreement metrics in compare runs"},
-        "attention_metrics": _attention_section(per_seed_records, instrumented),
-        "flops": _flops_section(per_seed_records, hidden),
-        "focal_layers": _focal_section(per_seed_policies, num_layers or 0),
-    }
-    out = cfg.get("output.report")
-    if out:
-        emit_report(report, "json", out)
-        print(f"report written: {out}")
-    else:
-        print(report_json(report), end="")
+    res = _run_seeds(cfg, policy_name, params, seeds, instrumented, cfg.get("output.trace"))
+    _write_report(_meta("run", cfg, policy_name, params, seeds, instrumented, notes),
+                  {"sequences": {str(s): seq for s, seq in res["sequences"].items()},
+                   "proxy_note": "sequences feed agreement metrics in compare runs"},
+                  _attention_section(res["records"], instrumented),
+                  _flops_section(res["records"], res["hidden"]),
+                  _focal_section(res["policies"]), cfg.get("output.report"))
     return 0
 
 
@@ -417,20 +420,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare requires workload.kind = toy (sequence agreement)")
 
     all_policies = ["vanilla"] + names
-    results = {}
-    for name in all_policies:
-        params = _policy_params(cfg, name)
-        per_seed_records, per_seed_policies, sequences = {}, {}, {}
-        hidden = None
-        for seed in seeds:
-            records, extras = run_one_seed(cfg, name, params, seed, instrumented)
-            per_seed_records[seed] = records
-            per_seed_policies[seed] = extras["policy"]
-            sequences[seed] = extras["sequence"]
-            hidden = extras["hidden"]
-        results[name] = {"params": params, "records": per_seed_records,
-                         "policies": per_seed_policies, "sequences": sequences,
-                         "hidden": hidden}
+    results = {name: _run_seeds(cfg, name, _policy_params(cfg, name), seeds, instrumented)
+               for name in all_policies}
 
     vanilla_seq = results["vanilla"]["sequences"]
     seq_section, attn_section, flops_section = {}, {}, {}
@@ -456,23 +447,12 @@ def cmd_compare(args) -> int:
 
     notes = [FASTV_ADAPTATION_NOTE] if "fastv" in names else []
     fastocr_policies = results.get("fastocr", {}).get("policies", {})
-    num_layers = _get(cfg, "model.layers", int, 8)
-    report = {
-        "meta": _meta("compare", cfg, ",".join(all_policies),
-                      {n: results[n]["params"] for n in all_policies}, seeds,
-                      instrumented, notes),
-        "sequence_metrics": seq_section,
-        "attention_metrics": attn_section,
-        "flops": flops_section,
-        "focal_layers": (_focal_section(fastocr_policies, num_layers)
-                         if fastocr_policies else {"per_seed": {}}),
-    }
-    out = cfg.get("output.report")
-    if out:
-        emit_report(report, "json", out)
-        print(f"report written: {out}")
-    else:
-        print(report_json(report), end="")
+    _write_report(_meta("compare", cfg, ",".join(all_policies),
+                        {n: results[n]["params"] for n in all_policies}, seeds,
+                        instrumented, notes),
+                  seq_section, attn_section, flops_section,
+                  _focal_section(fastocr_policies) if fastocr_policies else {"per_seed": {}},
+                  cfg.get("output.report"))
     _print_compare_table(all_policies, seq_section, flops_section)
     return 0
 
@@ -492,24 +472,18 @@ def _print_compare_table(names, seq_section, flops_section):
 def cmd_profile(args) -> int:
     cfg = parse_config(args.config)
     policy_name = cfg.get("policy.name", "fastocr")
-    params = _policy_params(cfg, policy_name)
     seeds = _seeds(cfg)
-    per_seed_records, per_seed_policies = {}, {}
-    num_layers = None
-    for seed in seeds:
-        records, extras = run_one_seed(cfg, policy_name, params, seed, instrumented=True)
-        per_seed_records[seed] = records
-        per_seed_policies[seed] = extras["policy"]
-        num_layers = len(records[0].modes)
+    res = _run_seeds(cfg, policy_name, _policy_params(cfg, policy_name), seeds,
+                     instrumented=True)
     csv_path = cfg.get("output.ratios_csv")
     if not csv_path:
         raise ConfigError("profile requires output.ratios_csv")
-    first = per_seed_records[seeds[0]]
+    first = res["records"][seeds[0]]
     emit_report({"ratio_rows": ratio_rows(first)}, "csv", csv_path)
-    print(f"ratio csv written: {csv_path} ({len(first) * num_layers} rows)")
+    print(f"ratio csv written: {csv_path} ({len(first) * len(first[0].modes)} rows)")
     freq_path = cfg.get("output.frequency_json")
     if freq_path:
-        section = _focal_section(per_seed_policies, num_layers)
+        section = _focal_section(res["policies"])
         section["runs"] = len(seeds)
         atomic_write_text(freq_path, json.dumps(section, indent=2) + "\n")
         print(f"focal frequency written: {freq_path}")
@@ -520,8 +494,7 @@ def cmd_replay(args) -> int:
     trace = _read_trace_checked(args.trace)
     params: dict = {}
     if args.policy == "fastocr":
-        params = {"rho": args.rho, "gap": args.gap, "kappa": args.kappa,
-                  "warmup": args.warmup}
+        params = {key: getattr(args, key) for key, _, _ in _FIXATION_PARAMS}
         if args.force_focal:
             params["force_focal"] = args.force_focal
     elif args.policy == "fastv":
@@ -532,25 +505,13 @@ def cmd_replay(args) -> int:
         if args.h2o_ratio is None:
             raise ConfigError("--policy h2o requires --h2o-ratio")
         params = {"retain_ratio": args.h2o_ratio}
-    policy = build_policy(args.policy, params, trace.num_layers)
-    try:
-        records = replay(trace, policy, collect_oracle=True)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    per_seed_records = {"trace": records}
-    report = {
-        "meta": _meta("replay", {"trace": args.trace}, args.policy, params, ["trace"],
-                      True, []),
-        "sequence_metrics": {"note": "replay has no generated sequence"},
-        "attention_metrics": _attention_section(per_seed_records, True),
-        "flops": {"note": "replay workloads carry no arithmetic; no FLOPs measured"},
-        "focal_layers": _focal_section({"trace": policy}, trace.num_layers),
-    }
-    if args.report:
-        emit_report(report, "json", args.report)
-        print(f"report written: {args.report}")
-    else:
-        print(report_json(report), end="")
+    records, extras = _replay(trace, args.policy, params, collect_oracle=True)
+    _write_report(_meta("replay", {"trace": args.trace}, args.policy, params, ["trace"],
+                        True, []),
+                  {"note": "replay has no generated sequence"},
+                  _attention_section({"trace": records}, True),
+                  _flops_section({"trace": records}, None),
+                  _focal_section({"trace": extras["policy"]}), args.report)
     return 0
 
 
@@ -592,10 +553,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--policy", choices=["vanilla", "fastocr", "fastv", "h2o"],
                    default="fastocr")
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--gap", type=int, default=1)
-    p.add_argument("--kappa", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=10)
+    for key, field, conv in _FIXATION_PARAMS:
+        p.add_argument(f"--{key}", type=conv, default=getattr(FixationConfig, field))
     p.add_argument("--force-focal", default=None)
     p.add_argument("--fastv-layer", type=int, default=None)
     p.add_argument("--fastv-ratio", type=float, default=None)

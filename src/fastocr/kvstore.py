@@ -125,11 +125,13 @@ class TokenRegistry:
             self._check_layer(l)
         if pos.min() < 0 or np.unique(pos).size != pos.size:
             raise ValueError("invalid eviction positions")
+        # all-or-nothing: every layer is checked before any is tombstoned
         for l in layers:
             if pos.max() >= self.layer_len(l):
                 raise ValueError(f"eviction position beyond layer {l} length")
             if self._dead[l][pos].any():
                 raise ValueError("position already evicted")
+        for l in layers:
             self._dead[l][pos] = True
 
     def unreachable_count(self, layer: int = 0) -> int:

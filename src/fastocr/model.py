@@ -168,6 +168,7 @@ class DecodeSession:
         self.logits_log: list = []
         self.trace_rows: list = []  # (step, layer, full head_avg)
         self._pending: np.ndarray | None = None
+        self._failed_step: int | None = None
         self._head_cfg = self.config.head_config
 
     @property
@@ -212,7 +213,14 @@ class DecodeSession:
     # -- decoding ----------------------------------------------------------------
 
     def decode_step(self) -> int:
-        """Greedy-sample one token and push it through the stack under the policy."""
+        """Greedy-sample one token and push it through the stack under the policy.
+
+        A step that raises leaves its token registered and only some layers
+        appended, so the session is marked failed and refuses further steps.
+        """
+        if self._failed_step is not None:
+            raise RuntimeError(f"decode step {self._failed_step} failed; "
+                               "the session cannot continue")
         if self._pending is None:
             raise RuntimeError("decode_step requires a prefilled session")
         logits = self._pending @ self.weights.unembedding
@@ -256,7 +264,11 @@ class DecodeSession:
             state["x"] = xv + out @ w.wo[layer]
             return weights.head_avg, covered
 
-        record = self.policy.run_step(self.cache, attend_layer)
+        try:
+            record = self.policy.run_step(self.cache, attend_layer)
+        except BaseException:
+            self._failed_step = step_index
+            raise
         if self.instrumented:
             record.oracle_recall = oracle_recall
         self.records.append(record)

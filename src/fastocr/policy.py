@@ -115,28 +115,16 @@ class PolicyState:
 # -- pure operations -----------------------------------------------------------
 
 
-def image_attention_ratio(head_avg, image_positions, text_positions) -> float:
+def ratio_over_covered(head_avg, covered, image_positions) -> float:
     """Fraction of attention mass on image tokens among image + text mass.
 
-    head_avg must be indexable by the absolute positions in the two sets.
+    head_avg[i] weights absolute position covered[i]; every covered position
+    that is not an image position counts as text.
     """
-    w = np.asarray(head_avg, dtype=np.float64)
-    img = np.asarray(list(image_positions), dtype=np.int64)
-    txt = np.asarray(list(text_positions), dtype=np.int64)
-    img_mass = w[img].sum() if img.size else 0.0
-    txt_mass = w[txt].sum() if txt.size else 0.0
-    return _ratio(img_mass, txt_mass)
-
-
-def ratio_over_covered(head_avg, covered, image_positions) -> float:
-    """Image-attention ratio when head_avg[i] weights absolute position covered[i]."""
     covered = np.asarray(covered, dtype=np.int64)
     img_mask = np.isin(covered, image_positions, assume_unique=True)
     w = np.asarray(head_avg, dtype=np.float64)
-    return _ratio(w[img_mask].sum(), w[~img_mask].sum())
-
-
-def _ratio(img_mass: float, txt_mass: float) -> float:
+    img_mass, txt_mass = w[img_mask].sum(), w[~img_mask].sum()
     denom = img_mass + txt_mass
     if denom == 0.0:
         raise ValueError("degenerate attention: zero mass on image and text positions")
@@ -243,6 +231,25 @@ def init_step_kept_set(state: PolicyState, cache, layer0_attend) -> Layer0Init:
 # -- policy drivers --------------------------------------------------------------
 
 
+def full_attention_step(step: int, cache, attend_layer, num_layers: int,
+                        after_layer=None) -> StepRecord:
+    """One decode step with full attention at every layer.
+
+    ``after_layer(layer, head_avg, covered, ratio)``, when given, runs after
+    each layer's attention and ratio, before the next layer attends; the
+    policies that share this loop differ only in that hook.
+    """
+    kept, ratios = [], []
+    for layer in range(num_layers):
+        head_avg, covered = attend_layer(layer, None)
+        r = ratio_over_covered(head_avg, covered, cache.image_positions(layer))
+        if after_layer is not None:
+            after_layer(layer, head_avg, covered, r)
+        kept.append(covered)
+        ratios.append(r)
+    return StepRecord(step=step, modes=["full"] * num_layers, kept=kept, ratios=ratios)
+
+
 class VanillaPolicy:
     """Unpruned reference: full attention at every layer, append-only cache."""
 
@@ -255,13 +262,7 @@ class VanillaPolicy:
 
     def run_step(self, cache, attend_layer) -> StepRecord:
         self.step += 1
-        modes, kept, ratios = [], [], []
-        for layer in range(self.num_layers):
-            head_avg, covered = attend_layer(layer, None)
-            modes.append("full")
-            kept.append(covered)
-            ratios.append(ratio_over_covered(head_avg, covered, cache.image_positions(layer)))
-        return StepRecord(step=self.step, modes=modes, kept=kept, ratios=ratios)
+        return full_attention_step(self.step, cache, attend_layer, self.num_layers)
 
 
 class FixationPolicy:
@@ -306,24 +307,14 @@ class FixationPolicy:
         state = self.state
         t = state.step + 1
         if state.phase is Phase.WARMUP:
-            record = self._run_warmup_step(cache, attend_layer, t)
+            record = full_attention_step(
+                t, cache, attend_layer, self.num_layers,
+                lambda layer, _head_avg, _covered, r: record_warmup(state, layer, r))
         else:
             self._finalize_focal_set()
             record = self._run_steady_step(cache, attend_layer, t)
         state.step = t
         return record
-
-    def _run_warmup_step(self, cache, attend_layer, t: int) -> StepRecord:
-        state = self.state
-        modes, kept, ratios = [], [], []
-        for layer in range(self.num_layers):
-            head_avg, covered = attend_layer(layer, None)
-            r = ratio_over_covered(head_avg, covered, cache.image_positions(layer))
-            record_warmup(state, layer, r)
-            modes.append("full")
-            kept.append(covered)
-            ratios.append(r)
-        return StepRecord(step=t, modes=modes, kept=kept, ratios=ratios)
 
     def _run_steady_step(self, cache, attend_layer, t: int) -> StepRecord:
         state = self.state

@@ -146,19 +146,28 @@ def test_h2o_can_evict_text_tokens():
 
 
 def test_vanilla_equals_identity_fixation():
+    # every policy that runs full attention at every layer, in its identity setting
     mc = ModelConfig(seed=21)
     w = init_model(mc)
     prompt = prompt_token_ids(21, 4, mc.vocab_size)
     sv = DecodeSession(w, VanillaPolicy(8))
     sv.prefill(16, prompt)
     ref = sv.generate(8)
-    pol = FixationPolicy(FixationConfig(kept_token_ratio=1.0,
-                                        force_focal_layers=tuple(range(8))), 8)
-    sf = DecodeSession(w, pol)
-    sf.prefill(16, prompt)
-    assert sf.generate(8) == ref
-    for a, b in zip(sv.logits_log, sf.logits_log):
-        assert np.array_equal(a, b)
+    identities = [
+        FixationPolicy(FixationConfig(kept_token_ratio=1.0,
+                                      force_focal_layers=tuple(range(8))), 8),
+        FastVPolicy(FastVConfig(prune_layer=2, prune_ratio=0.0), 8),
+        H2OPolicy(H2OConfig(retain_ratio=1.0), 8),
+    ]
+    for pol in identities:
+        sf = DecodeSession(w, pol)
+        sf.prefill(16, prompt)
+        assert sf.generate(8) == ref, pol.name
+        for a, b in zip(sv.logits_log, sf.logits_log):
+            assert np.array_equal(a, b)
+        for rv, rf in zip(sv.records, sf.records):
+            assert rv.ratios == rf.ratios
+            assert all(np.array_equal(kv, kf) for kv, kf in zip(rv.kept, rf.kept))
 
 
 def test_config_validation():

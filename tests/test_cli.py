@@ -48,6 +48,20 @@ def test_parse_config_errors(tmp_path):
         parse_config(write_cfg(tmp_path, "a = 1\na = 2\n"))
 
 
+def test_readme_config_example_is_valid(tmp_path):
+    from pathlib import Path
+
+    from fastocr.cli import _model_config, _planted_config, _policy_params, build_policy
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```") if "model.layers = " in b)
+    cfg = parse_config(write_cfg(tmp_path, block))
+    num_layers = _model_config(cfg, 1).num_layers
+    assert _planted_config(cfg, 1).num_layers == 10
+    for name in ("vanilla", "fastocr", "fastv", "h2o"):
+        assert build_policy(name, _policy_params(cfg, name), num_layers).name == name
+
+
 def test_flops_subcommand(capsys):
     assert main(["flops", "--batch", "12", "--layers", "36", "--hidden", "2048",
                  "--seqlen", "4096"]) == 0
@@ -183,6 +197,19 @@ def test_run_bad_policy_exit_1(tmp_path, capsys):
                                   "model.hidden = 0"])
 def test_run_bad_sizes_exit_1_with_one_line(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, f"policy.name = vanilla\nrun.steps = 2\n{line}\n")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("body", [
+    "policy.name = fastocr\npolicy.rho = 0.25\n",  # pruning policy, not instrumented
+    "policy.name = h2o\npolicy.h2o_ratio = 0.5\n",  # eviction policy
+    "workload.kind = planted\nplanted.layers = 4\nplanted.image_tokens = 8\n"
+    "planted.text_tokens = 2\nplanted.focal_layers = 1\nplanted.steps = 2\n",
+])
+def test_run_bad_trace_output_exit_1_with_one_line(tmp_path, capsys, body):
+    cfg = write_cfg(tmp_path, f"{body}run.steps = 2\noutput.trace = {tmp_path / 't.txt'}\n")
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

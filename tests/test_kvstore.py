@@ -170,6 +170,14 @@ def test_double_evict_errors():
             cache.evict([1])
 
 
+def test_failed_evict_tombstones_no_layer():
+    for cache in registries(n_img=4, n_txt=0, eviction=True):
+        cache.evict([3], layers=[1])
+        with pytest.raises(ValueError, match="already evicted"):
+            cache.evict([3])
+        assert [cache.unreachable_count(l) for l in range(2)] == [0, 1]
+
+
 def test_evict_rejects_invalid_positions():
     for cache in registries(n_img=3, n_txt=2, eviction=True):
         for bad in ([1, 1], [-1], [5]):

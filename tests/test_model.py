@@ -198,6 +198,34 @@ def test_decode_registers_text_and_grows_cache():
         assert s.cache.layer_len(layer) == before + 1
 
 
+def test_failed_step_is_final():
+    class FailingPolicy(VanillaPolicy):
+        """Raises after layer 1 of step 2, once that layer has attended."""
+
+        def run_step(self, cache, attend_layer):
+            def attend(layer, kept):
+                out = attend_layer(layer, kept)
+                if self.step == 2 and layer == 1:
+                    raise ArithmeticError("layer 1 failed")
+                return out
+
+            return super().run_step(cache, attend)
+
+    mc = ModelConfig(seed=4, num_layers=4)
+    s = DecodeSession(init_model(mc), FailingPolicy(4))
+    s.prefill(6, prompt_token_ids(4, 4, mc.vocab_size))
+    s.decode_step()
+    with pytest.raises(ArithmeticError):
+        s.decode_step()
+    lens = [s.cache.layer_len(l) for l in range(4)]
+    assert lens == [12, 12, 11, 11]
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="decode step 2 failed"):
+            s.decode_step()
+    assert [s.cache.layer_len(l) for l in range(4)] == lens
+    assert len(s.cache) == 12 and len(s.generated) == 1
+
+
 def test_generate_lengths_and_determinism():
     a = make_vanilla(seed=6)
     b = make_vanilla(seed=6)

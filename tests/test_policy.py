@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fastocr.policy import (FixationConfig, FixationPolicy, FocalTokens, Phase, PolicyState,
-                            VanillaPolicy, WarmupStats, focal_budget, image_attention_ratio,
-                            init_step_kept_set, kept_token_count, record_warmup,
+                            VanillaPolicy, WarmupStats, focal_budget, init_step_kept_set,
+                            kept_token_count, ratio_over_covered, record_warmup,
                             select_focal_layers, select_focal_tokens)
 from fastocr.tracelab import LogicalCache
 
@@ -31,30 +31,30 @@ def run_steps(policy, cache, weights_fn, n):
     return records
 
 
-# -- image_attention_ratio -------------------------------------------------------
+# -- ratio_over_covered -----------------------------------------------------------
 
 
 def test_ratio_all_mass_on_images():
     w = np.array([0.5, 0.5, 0.0])
-    assert image_attention_ratio(w, [0, 1], [2]) == 1.0
+    assert ratio_over_covered(w, np.arange(3), [0, 1]) == 1.0
 
 
 def test_ratio_direct_substitution():
     w = np.array([0.2, 0.1, 0.1])  # image mass 0.3, text mass 0.1
-    assert image_attention_ratio(w, [0, 1], [2]) == pytest.approx(0.75, abs=1e-12)
+    assert ratio_over_covered(w, np.arange(3), [0, 1]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_ratio_planted_focal_mass():
     # focal-layer-like split: 42.2% of mass on images
     n_img, n_txt = 10, 4
     w = np.concatenate([np.full(n_img, 0.422 / n_img), np.full(n_txt, 0.578 / n_txt)])
-    r = image_attention_ratio(w, range(n_img), range(n_img, n_img + n_txt))
+    r = ratio_over_covered(w, np.arange(n_img + n_txt), np.arange(n_img))
     assert r == pytest.approx(0.422, abs=1e-12)
 
 
 def test_ratio_degenerate_errors():
     with pytest.raises(ValueError, match="degenerate attention"):
-        image_attention_ratio(np.zeros(2), [0], [1])
+        ratio_over_covered(np.zeros(2), np.arange(2), [0])
 
 
 # -- record_warmup -----------------------------------------------------------------
